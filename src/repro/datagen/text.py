@@ -12,14 +12,15 @@ the input axes Section IV-E discusses).
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = ["TextSpec", "synthesize_text", "synthesize_labeled_text", "make_vocabulary"]
 
-_ALPHABET = np.array(list(string.ascii_lowercase))
+#: Words per letter draw in :func:`make_vocabulary`: bounds the int64
+#: letter buffer (~8192 × mean length × 8 B) however large the vocabulary.
+VOCAB_BLOCK = 8192
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,13 +62,22 @@ def make_vocabulary(
     lengths = np.maximum(2, rng.poisson(word_len_mean, size=size))
     words: list[str] = []
     seen: set[str] = set()
-    for i, ln in enumerate(lengths):
-        letters = _ALPHABET[rng.integers(0, 26, size=int(ln))]
-        w = "".join(letters)
-        if w in seen:
-            w = f"{w}{i}"
-        seen.add(w)
-        words.append(w)
+    # One letter draw per block of words.  The bit generator itself
+    # buffers 32-bit draws (PCG64 serves two per 64-bit step), so one
+    # draw of sum(lengths) letters yields the same letters, and leaves
+    # the same generator state, as one draw per word.
+    for start in range(0, size, VOCAB_BLOCK):
+        block = lengths[start : start + VOCAB_BLOCK]
+        letters = rng.integers(0, 26, size=int(block.sum()))
+        text = (letters.astype(np.uint8) + ord("a")).tobytes().decode("ascii")
+        pos = 0
+        for i, end in enumerate(np.cumsum(block).tolist(), start):
+            w = text[pos:end]
+            if w in seen:
+                w = f"{w}{i}"
+            seen.add(w)
+            words.append(w)
+            pos = end
     return words
 
 

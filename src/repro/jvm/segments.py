@@ -12,8 +12,8 @@ trip loses nothing a :class:`~repro.jvm.threads.TraceSegment` carries.
 Consumers operate on column slices (``arr["instructions"]``,
 ``arr["stack_id"]``) and never materialise per-segment objects on the
 hot path; :func:`array_to_segments` exists as the one sanctioned
-adapter back to the object world (``JobTrace.from_stream``, parity
-tests, legacy callers).
+adapter back to the object world (``JobTrace.from_stream``, loading a
+pickled ``ThreadTrace``, parity tests, legacy callers).
 
 :func:`segment_checksum` folds the packed bytes of the eight checksum
 fields through a single :func:`zlib.crc32` call.  Because CRC-32 over a
@@ -26,7 +26,7 @@ format batches verify interchangeably in a mixed stream.
 from __future__ import annotations
 
 import zlib
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -75,14 +75,15 @@ def empty_segment_array() -> np.ndarray:
     return np.empty(0, dtype=SEGMENT_DTYPE)
 
 
-def segments_to_array(segments: Iterable[TraceSegment]) -> np.ndarray:
+def segments_to_array(segments: Sequence[TraceSegment]) -> np.ndarray:
     """Pack :class:`TraceSegment` objects into one structured array.
 
     The object-world → columnar adapter used at substrate flush and by
     the legacy :class:`~repro.jvm.stream.SegmentBatch` constructor;
-    one row per segment, ``op_kind`` coded via ``OP_KIND_CODES``.
+    one row per segment, ``op_kind`` coded via ``OP_KIND_CODES``.  Rows
+    stream straight into the array, so no list of row tuples is built.
     """
-    rows = [
+    rows = (
         (
             s.stack_id,
             OP_KIND_CODES[s.op_kind],
@@ -95,32 +96,30 @@ def segments_to_array(segments: Iterable[TraceSegment]) -> np.ndarray:
             s.cold,
         )
         for s in segments
-    ]
-    if not rows:
-        return empty_segment_array()
-    return np.array(rows, dtype=SEGMENT_DTYPE)
+    )
+    return np.fromiter(rows, dtype=SEGMENT_DTYPE, count=len(segments))
 
 
 def array_to_segments(data: np.ndarray) -> tuple[TraceSegment, ...]:
     """Materialise packed rows back into :class:`TraceSegment` objects.
 
     The one sanctioned columnar → object adapter: only the batch-trace
-    assembler (``JobTrace.from_stream``), parity tests, and legacy
-    consumers pay this cost — hot-path consumers stay on column slices.
+    assembler (``JobTrace.from_stream``), unpickling a ``ThreadTrace``,
+    parity tests, and legacy consumers pay this cost — hot-path
+    consumers stay on column slices.
     """
+    # One tolist() per column instead of nine scalar reads per row; the
+    # columns zip in TraceSegment's positional field order.
+    # simprof: ignore[SPA008] -- the one sanctioned adapter
+    cols = [data[name].tolist() for name in SEGMENT_FIELDS]
     return tuple(
-        TraceSegment(
-            stack_id=int(row["stack_id"]),
-            op_kind=OP_KINDS_BY_CODE[int(row["op_kind"])],
-            instructions=int(row["instructions"]),
-            cycles=int(row["cycles"]),
-            l1d_misses=int(row["l1d_misses"]),
-            llc_misses=int(row["llc_misses"]),
-            stage_id=int(row["stage_id"]),
-            task_id=int(row["task_id"]),
-            cold=bool(row["cold"]),
+        map(
+            TraceSegment,
+            *cols[:1],
+            map(OP_KINDS_BY_CODE.__getitem__, cols[1]),
+            *cols[2:8],
+            map(bool, cols[8]),
         )
-        for row in data  # simprof: ignore[SPA008] -- the one sanctioned adapter
     )
 
 

@@ -85,6 +85,39 @@ class ThreadTrace:
     def __len__(self) -> int:
         return len(self.segments)
 
+    def __getstate__(self) -> dict:
+        """Pickle the segments as one ``SEGMENT_DTYPE`` array.
+
+        Unpickling a list of frozen slotted dataclasses costs a
+        ``fields()`` walk per segment; one packed array round-trips
+        several times faster.  A valid packed cache is reused; otherwise
+        the array is packed without caching it, so a live trace keeps
+        no second copy of its segments.  The caches are not shipped.
+        """
+        from repro.jvm.segments import segments_to_array
+
+        state = self.__dict__.copy()
+        packed = self._cached_structured()
+        if packed is None:
+            packed = segments_to_array(self.segments)
+        state["segments"] = packed
+        state["_totals_cache"] = None
+        state["_structured_cache"] = None
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        """Rebuild the segment list from a packed pickle state.
+
+        A legacy state (pickled before the packed form, ``segments``
+        already a list) loads unchanged.
+        """
+        segments = state["segments"]
+        if isinstance(segments, np.ndarray):
+            from repro.jvm.segments import array_to_segments
+
+            state = {**state, "segments": list(array_to_segments(segments))}
+        self.__dict__.update(state)
+
     def _totals(self) -> tuple[int, int]:
         cache = self._totals_cache
         if (
@@ -141,14 +174,19 @@ class ThreadTrace:
         """
         from repro.jvm.segments import segments_to_array
 
-        cache = self._structured_cache
-        key = (self._epoch, len(self.segments))
-        if cache is not None and cache[0] == key:
-            return cache[1]
-        data = segments_to_array(self.segments)
-        data.setflags(write=False)
-        self._structured_cache = (key, data)
+        data = self._cached_structured()
+        if data is None:
+            data = segments_to_array(self.segments)
+            data.setflags(write=False)
+            self._structured_cache = ((self._epoch, len(self.segments)), data)
         return data
+
+    def _cached_structured(self) -> np.ndarray | None:
+        """The packed cache if it still matches the segments, else None."""
+        cache = self._structured_cache
+        if cache is not None and cache[0] == (self._epoch, len(self.segments)):
+            return cache[1]
+        return None
 
     def drain_structured(self) -> np.ndarray:
         """Pack and clear in one step (the streaming-flush hot path).

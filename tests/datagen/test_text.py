@@ -2,17 +2,37 @@
 
 from __future__ import annotations
 
+import string
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.datagen.text import (
+    VOCAB_BLOCK,
     TextSpec,
     make_vocabulary,
     synthesize_labeled_text,
     synthesize_text,
 )
+
+_ALPHABET = np.array(list(string.ascii_lowercase))
+
+
+def _per_word_vocabulary(
+    size: int, rng: np.random.Generator, word_len_mean: float = 7.0
+) -> list[str]:
+    """The original one-draw-per-word vocabulary: the parity oracle."""
+    lengths = np.maximum(2, rng.poisson(word_len_mean, size=size))
+    words: list[str] = []
+    seen: set[str] = set()
+    for i, ln in enumerate(lengths):
+        w = "".join(_ALPHABET[rng.integers(0, 26, size=int(ln))])
+        if w in seen:
+            w = f"{w}{i}"
+        seen.add(w)
+        words.append(w)
+    return words
 
 
 class TestTextSpec:
@@ -38,6 +58,48 @@ class TestVocabulary:
         rng = np.random.default_rng(0)
         vocab = make_vocabulary(200, rng, word_len_mean=1.0)
         assert all(len(w) >= 2 for w in vocab)
+
+
+def _assert_vocabulary_parity(size: int, word_len_mean: float, seed: int) -> list[str]:
+    fast_rng = np.random.default_rng(seed)
+    oracle_rng = np.random.default_rng(seed)
+    words = make_vocabulary(size, fast_rng, word_len_mean)
+    assert words == _per_word_vocabulary(size, oracle_rng, word_len_mean)
+    # Same generator state afterwards, including the buffered 32-bit
+    # half-draw, so every later draw of the synthesiser is unchanged.
+    assert fast_rng.bit_generator.state == oracle_rng.bit_generator.state
+    assert fast_rng.integers(0, 26, size=5).tolist() == (
+        oracle_rng.integers(0, 26, size=5).tolist()
+    )
+    assert fast_rng.random() == oracle_rng.random()
+    return words
+
+
+class TestVocabularyParity:
+    """The blocked letter draw matches the per-word draw bit for bit."""
+
+    @pytest.mark.parametrize(
+        "size", [1, VOCAB_BLOCK - 1, VOCAB_BLOCK, VOCAB_BLOCK + 1]
+    )
+    @pytest.mark.parametrize("word_len_mean", [0.5, 1.0, 7.0])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_block_edges(self, size, word_len_mean, seed):
+        _assert_vocabulary_parity(size, word_len_mean, seed)
+
+    @pytest.mark.parametrize("word_len_mean", [0.5, 1.0, 7.0])
+    def test_many_blocks(self, word_len_mean):
+        words = _assert_vocabulary_parity(40_000, word_len_mean, seed=3)
+        if word_len_mean <= 1.0:
+            # Short words collide, so later blocks suffix with the
+            # global word index.
+            assert any(
+                w.endswith(str(i))
+                for i, w in enumerate(words[2 * VOCAB_BLOCK :], 2 * VOCAB_BLOCK)
+            )
+
+    def test_empty(self):
+        rng = np.random.default_rng(0)
+        assert make_vocabulary(0, rng) == []
 
 
 class TestSynthesizeText:

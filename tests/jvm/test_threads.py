@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import base64
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.jvm.job import JobTrace
 from repro.jvm.machine import AccessPattern, HardwareModel, MachineConfig, OpKind
 from repro.jvm.methods import CallStack, MethodRegistry, StackTable
+from repro.jvm.segments import SEGMENT_DTYPE
 from repro.jvm.threads import ThreadTrace, TraceBuilder, TraceSegment
+from repro.runtime.store import ArtifactStore
 
 
 @pytest.fixture()
@@ -148,3 +154,130 @@ class TestThreadTrace:
     def test_merged_rejects_empty(self):
         with pytest.raises(ValueError):
             ThreadTrace.merged([], thread_id=0)
+
+
+# A ThreadTrace pickled (protocol 4) before traces pickled in packed
+# form: thread 3 on core 1 at cycle 500, two segments, totals cached.
+_LEGACY_TRACE_PICKLE = base64.b64decode(
+    "gASVAQEAAAAAAACMEXJlcHJvLmp2bS50aHJlYWRzlIwLVGhyZWFkVHJhY2WUk5Qp"
+    "gZR9lCiMCXRocmVhZF9pZJRLA4wHY29yZV9pZJRLAYwIc2VnbWVudHOUXZQoaACM"
+    "DFRyYWNlU2VnbWVudJSTlCmBlF2UKEsAjBFyZXByby5qdm0ubWFjaGluZZSMBk9w"
+    "S2luZJSTlIwDbWFwlIWUUpRN6ANNxAlLCksCSwBLBIllYmgKKYGUXZQoSwFoD4wE"
+    "c29ydJSFlFKUTaAPTYgTSyhLCEsBSwWIZWJljAtzdGFydF9jeWNsZZRN9AGMDV90"
+    "b3RhbHNfY2FjaGWUKEsASwJNiBNNTB10lHViLg=="
+)
+
+
+def _job_trace(n_segments: int = 40) -> JobTrace:
+    """A small two-thread job priced with noise and migrations on."""
+    registry = MethodRegistry()
+    table = StackTable(registry)
+    stacks = [
+        CallStack((registry.intern("a.A", "run"),)),
+        CallStack((registry.intern("a.A", "run"), registry.intern("b.B", "sort"))),
+    ]
+    machine = MachineConfig(migration_probability=0.2)
+    hw = HardwareModel(machine)
+    rng = np.random.default_rng(11)
+    job = JobTrace("spark", "toy", "default", registry, table, machine)
+    kinds = [OpKind.MAP, OpKind.SORT, OpKind.IO]
+    for thread_id in range(2):
+        builder = TraceBuilder(table, hw, rng, thread_id, thread_id, start_cycle=7)
+        for i in range(n_segments):
+            builder.emit(
+                stacks[i % 2], kinds[i % 3], AccessPattern.sequential(1e4 * (i + 1)),
+                1e6 + i, stage_id=i // 10, task_id=i,
+            )
+        job.traces.append(builder.trace)
+    return job
+
+
+def _round_trip(value):
+    return pickle.loads(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
+
+
+class TestThreadTracePickle:
+    """Traces pickle as one packed array per thread and load unchanged."""
+
+    def test_job_trace_round_trip(self):
+        job = _job_trace()
+        loaded = _round_trip(job)
+        assert any(s.cold for t in job.traces for s in t.segments)
+        for before, after in zip(job.traces, loaded.traces):
+            assert after == before
+            assert after.segments == before.segments
+            assert isinstance(after.segments, list)
+            assert after.total_instructions == before.total_instructions
+            assert after.total_cycles == before.total_cycles
+            packed = after.to_structured()
+            assert packed.dtype == SEGMENT_DTYPE
+            assert np.array_equal(packed, before.to_structured())
+            assert not packed.flags.writeable
+        assert loaded.total_cycles == job.total_cycles
+
+    def test_segment_field_types_survive(self):
+        loaded = _round_trip(_job_trace(5)).traces[0]
+        for seg in loaded.segments:
+            assert type(seg.op_kind) is OpKind
+            assert type(seg.cold) is bool
+            assert type(seg.instructions) is int
+
+    def test_zero_segment_trace(self):
+        trace = ThreadTrace(thread_id=4, core_id=2, start_cycle=9)
+        loaded = _round_trip(trace)
+        assert loaded == trace
+        assert loaded.segments == []
+        assert loaded.total_instructions == 0
+        assert loaded.to_structured().shape == (0,)
+
+    def test_valid_cache_is_reused_and_stale_cache_is_not(self):
+        trace = _job_trace(6).traces[0]
+        trace.to_structured()
+        assert _round_trip(trace) == trace
+        trace.segments.append(TraceSegment(0, OpKind.IO, 5, 9, 1, 0))
+        loaded = _round_trip(trace)
+        assert len(loaded) == 7
+        assert loaded.segments[-1] == trace.segments[-1]
+
+    def test_pickling_leaves_no_packed_copy(self):
+        trace = _job_trace(6).traces[0]
+        pickle.dumps(trace)
+        assert trace._structured_cache is None
+
+    def test_legacy_pickle_loads(self):
+        trace = pickle.loads(_LEGACY_TRACE_PICKLE)
+        assert (trace.thread_id, trace.core_id, trace.start_cycle) == (3, 1, 500)
+        assert trace.segments == [
+            TraceSegment(0, OpKind.MAP, 1000, 2500, 10, 2, stage_id=0, task_id=4),
+            TraceSegment(1, OpKind.SORT, 4000, 5000, 40, 8, 1, 5, cold=True),
+        ]
+        assert trace.total_instructions == 5000
+        assert trace.total_cycles == 7500
+        assert _round_trip(trace) == trace
+
+    def test_clear_and_drain_after_load(self):
+        trace = _job_trace(8).traces[1]
+        loaded = _round_trip(trace)
+        drained = loaded.drain_structured()
+        assert np.array_equal(drained, trace.to_structured())
+        assert len(loaded) == 0
+        assert loaded.total_instructions == 0
+        assert loaded.to_structured().shape == (0,)
+        seg = TraceSegment(3, OpKind.MAP, 11, 22, 0, 0)
+        loaded.segments.append(seg)
+        assert loaded.total_cycles == 22
+        assert loaded.to_structured()["cycles"].tolist() == [22]
+        loaded.clear_segments()
+        assert len(loaded) == 0
+        assert loaded.total_cycles == 0
+
+    def test_stored_trace_passes_verify(self, tmp_path):
+        job = _job_trace()
+        store = ArtifactStore(tmp_path)
+        key = store.key_for("trace", {"w": "toy"})
+        store.put(key, job, kind="trace")
+        loaded = ArtifactStore(tmp_path).get(key)
+        assert loaded.traces == job.traces
+        report = ArtifactStore(tmp_path).verify()
+        assert report["ok"] == [key]
+        assert report["corrupt"] == []
